@@ -23,7 +23,7 @@ measured against.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,6 +54,15 @@ class DPCMCompressor:
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the closed-loop reconstruction.
+
+        The predictor runs on reconstructed frames, so the ``recon``
+        built here is bitwise what :meth:`decompress` returns.
+        """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -72,7 +81,7 @@ class DPCMCompressor:
         # one stream for all residual planes: the histogram header is
         # paid once and the alphabet is shared across time
         body = encode_ints(np.concatenate(chunks))
-        return header + body
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

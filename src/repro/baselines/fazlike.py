@@ -115,6 +115,16 @@ class WaveletCoder:
         self.levels = levels
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the decoder's exact reconstruction.
+
+        The 5/3 lifting is integer-reversible, so :meth:`decompress`
+        recovers ``q`` exactly and returns ``q * 2eb``; the encoder
+        needs no inverse transform to know that.
+        """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -143,7 +153,7 @@ class WaveletCoder:
         parts = [header, encode_ints(coarse.ravel())]
         # fine-to-coarse order is irrelevant; keep level order stable
         parts.extend(encode_ints(dv) for dv in details)
-        return b"".join(parts)
+        return b"".join(parts), q.astype(np.float64) * (2 * eb)
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _WAVELET_MAGIC:
@@ -191,11 +201,17 @@ class FAZLikeCompressor:
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise bound; keeps the smaller candidate."""
-        wav = self.wavelet.compress(frames, error_bound)
-        prd = self.predictor.compress(frames, error_bound)
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the kept candidate's exact
+        reconstruction."""
+        wav, wav_recon = self.wavelet.encode(frames, error_bound)
+        prd, prd_recon = self.predictor.encode(frames, error_bound)
         if len(wav) <= len(prd):
-            return _MAGIC + bytes([_TAG_WAVELET]) + wav
-        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd
+            return _MAGIC + bytes([_TAG_WAVELET]) + wav, wav_recon
+        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd, prd_recon
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:

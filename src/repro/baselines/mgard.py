@@ -89,6 +89,50 @@ def _interpolate_from_level(values: np.ndarray, level: int) -> np.ndarray:
     return out
 
 
+def _budgets(eb: float, levels: int, ratio: float) -> List[float]:
+    """Per-level pointwise budgets, coarsest first, summing to <= eb.
+
+    Geometric split: level L gets the biggest slice.  The sum over all
+    ``levels + 1`` entries (coarse lattice + each refinement) is ``eb``
+    exactly, so the triangle inequality closes the proof.
+    """
+    weights = np.array([ratio ** i for i in range(levels + 1)])
+    return list(eb * weights / weights.sum())
+
+
+def _synthesize(chunks: List[np.ndarray], shape: Tuple[int, ...],
+                levels: int, budgets: List[float],
+                stop_level: int = 0) -> np.ndarray:
+    """Dequantize the level coefficients and rebuild the hierarchy.
+
+    ``chunks`` holds the coarse lattice followed by one coefficient
+    array per refinement level, coarse-to-fine.  Corrections of levels
+    finer than ``stop_level`` are dropped and those nodes keep their
+    interpolated prediction.  Both the encoder and
+    :meth:`MGARDLikeCompressor.decompress` end here, so the encoder's
+    reconstruction is bitwise the decoder's.
+    """
+    recon = np.zeros(shape)
+    cs = 2 ** levels
+    recon[::cs, ::cs, ::cs] = (
+        chunks[0].reshape(recon[::cs, ::cs, ::cs].shape) * (2 * budgets[0]))
+
+    for li, level in enumerate(range(levels, 0, -1)):
+        pred = _interpolate_from_level(recon, level)
+        new_nodes = _level_mask(shape, level - 1) & ~_level_mask(
+            shape, level)
+        if level - 1 >= stop_level:
+            recon[new_nodes] = (pred[new_nodes]
+                                + chunks[li + 1] * (2 * budgets[li + 1]))
+        else:
+            recon[new_nodes] = pred[new_nodes]
+    if stop_level > 0:
+        # nodes finer than stop_level were never filled; fill by
+        # interpolation so the output is a smooth coarse view
+        recon = _interpolate_from_level(recon, stop_level)
+    return recon
+
+
 class MGARDLikeCompressor:
     """Multilevel error-bounded coder with progressive recovery.
 
@@ -113,27 +157,22 @@ class MGARDLikeCompressor:
         self.budget_ratio = budget_ratio
 
     # ------------------------------------------------------------------
-    def _budgets(self, eb: float) -> List[float]:
-        """Per-level pointwise budgets, coarsest first, summing to <= eb.
-
-        Geometric split: level L gets the biggest slice.  The sum over
-        all ``levels + 1`` entries (coarse lattice + each refinement) is
-        ``eb`` exactly, so the triangle inequality closes the proof.
-        """
-        r = self.budget_ratio
-        weights = np.array([r ** i for i in range(self.levels + 1)])
-        return list(eb * weights / weights.sum())
-
-    # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the decoder's exact full-resolution
+        reconstruction."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
         eb = float(error_bound)
-        budgets = self._budgets(eb)
+        ratio = float(self.budget_ratio)
+        budgets = _budgets(eb, self.levels, ratio)
 
         chunks: List[np.ndarray] = []
         # coarsest lattice, quantized directly
@@ -154,9 +193,10 @@ class MGARDLikeCompressor:
             chunks.append(q)
 
         header = _MAGIC + struct.pack(_HDR, *frames.shape, self.levels, eb,
-                                      self.budget_ratio)
+                                      ratio)
         body = b"".join(encode_ints(c) for c in chunks)
-        return header + body
+        recon = _synthesize(chunks, frames.shape, self.levels, budgets)
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes,
@@ -171,35 +211,12 @@ class MGARDLikeCompressor:
             raise ValueError("not an MGARD-like stream")
         T, H, W, levels, eb, ratio = struct.unpack_from(_HDR, data, 4)
         pos = 4 + struct.calcsize(_HDR)
-        shape = (T, H, W)
-        budgets = self._rebudget(eb, levels, ratio)
         stop_level = 0 if max_level is None else int(max_level)
         if not (0 <= stop_level <= levels):
             raise ValueError(f"max_level must be in [0, {levels}]")
-
-        recon = np.zeros(shape)
-        cs = 2 ** levels
-        q0, pos = decode_ints(data, pos)
-        recon[::cs, ::cs, ::cs] = (
-            q0.reshape(recon[::cs, ::cs, ::cs].shape) * (2 * budgets[0]))
-
-        for li, level in enumerate(range(levels, 0, -1)):
-            pred = _interpolate_from_level(recon, level)
-            new_nodes = _level_mask(shape, level - 1) & ~_level_mask(
-                shape, level)
+        chunks = []
+        for _ in range(levels + 1):
             q, pos = decode_ints(data, pos)
-            if level - 1 >= stop_level:
-                recon[new_nodes] = (pred[new_nodes]
-                                    + q * (2 * budgets[li + 1]))
-            else:
-                recon[new_nodes] = pred[new_nodes]
-        if stop_level > 0:
-            # nodes finer than stop_level were never filled; fill by
-            # interpolation so the output is a smooth coarse view
-            recon = _interpolate_from_level(recon, stop_level)
-        return recon
-
-    @staticmethod
-    def _rebudget(eb: float, levels: int, ratio: float) -> List[float]:
-        weights = np.array([ratio ** i for i in range(levels + 1)])
-        return list(eb * weights / weights.sum())
+            chunks.append(q)
+        return _synthesize(chunks, (T, H, W), levels,
+                           _budgets(eb, levels, ratio), stop_level)

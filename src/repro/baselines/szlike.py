@@ -70,6 +70,16 @@ class SZLikeCompressor:
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the closed-loop reconstruction.
+
+        The encoder predicts from reconstructed values, so the
+        ``recon`` it builds is bitwise what :meth:`decompress` returns
+        for the payload.
+        """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -94,7 +104,7 @@ class SZLikeCompressor:
 
         header = _MAGIC + struct.pack("<IIId", *frames.shape, eb)
         body = b"".join(encode_ints(c) for c in chunks)
-        return header + body
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

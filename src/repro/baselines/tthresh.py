@@ -78,6 +78,17 @@ def tucker_reconstruct(core: np.ndarray,
     return x
 
 
+def _synthesize(q: np.ndarray, step: float, ranks: Tuple[int, ...],
+                factors: List[np.ndarray]) -> np.ndarray:
+    """Dequantize the core and rotate it back through the stored
+    (float32) factors — the decoder's tail, shared with the encoder so
+    its reconstruction is bitwise :meth:`TTHRESHLikeCompressor.
+    decompress`."""
+    core = (q.astype(np.float64) * step).reshape(ranks)
+    return tucker_reconstruct(core, [u.astype(np.float64)
+                                     for u in factors])
+
+
 class TTHRESHLikeCompressor:
     """HOSVD transform coder with a measured L2 (RMSE) guarantee.
 
@@ -103,6 +114,11 @@ class TTHRESHLikeCompressor:
         (including float32 factor storage); the quantization step is
         shrunk until it holds.
         """
+        return self.encode(frames, rmse_bound)[0]
+
+    def encode(self, frames: np.ndarray, rmse_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the decoder's exact reconstruction."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -126,11 +142,11 @@ class TTHRESHLikeCompressor:
 
         header = _MAGIC + struct.pack(
             _HDR, *frames.shape, *ranks, step)
+        factors32 = [u.astype("<f4") for u in factors_t]
         parts = [header]
-        for u in factors_t:
-            parts.append(u.astype("<f4").tobytes())
+        parts.extend(u.tobytes() for u in factors32)
         parts.append(encode_ints(q.ravel()))
-        return b"".join(parts)
+        return b"".join(parts), _synthesize(q, step, ranks, factors32)
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:
@@ -141,13 +157,11 @@ class TTHRESHLikeCompressor:
         pos = 4 + struct.calcsize(_HDR)
         factors = []
         for n, r in zip(shape, ranks):
-            u = np.frombuffer(data, dtype="<f4", count=n * r,
-                              offset=pos).astype(np.float64).reshape(n, r)
-            factors.append(u)
+            factors.append(np.frombuffer(data, dtype="<f4", count=n * r,
+                                         offset=pos).reshape(n, r))
             pos += 4 * n * r
         q, pos = decode_ints(data, pos)
-        core = (q.astype(np.float64) * step).reshape(ranks)
-        return tucker_reconstruct(core, factors)
+        return _synthesize(q, step, ranks, factors)
 
     # ------------------------------------------------------------------
     @staticmethod

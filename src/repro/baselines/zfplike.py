@@ -68,32 +68,57 @@ def _unblock(blocks: np.ndarray, shape: Tuple[int, int, int]) -> np.ndarray:
             .reshape(T, H, W))
 
 
+def _qstep(eb: float) -> float:
+    """Coefficient quantization step that keeps ``|x - x̂| <= eb``."""
+    return 2.0 * eb / _INV_NORM
+
+
+def _synthesize(q: np.ndarray, eb: float, shape: Tuple[int, int, int],
+                padded_hw: Tuple[int, int]) -> np.ndarray:
+    """Dequantize ``(nb, 16)`` block coefficients, invert, crop.
+
+    The decoder's whole tail after entropy decoding; the encoder calls
+    it on its own ``q`` so its reconstruction cannot drift from
+    :meth:`ZFPLikeCompressor.decompress`.
+    """
+    T, H, W = shape
+    coef = q.reshape(-1, 4, 4).astype(np.float64) * _qstep(eb)
+    blocks = np.einsum("ij,bjk,lk->bil", _ZFP_TI, coef, _ZFP_TI,
+                       optimize=True)
+    padded = _unblock(blocks, (T,) + tuple(padded_hw))
+    return padded[:, :H, :W]
+
+
 class ZFPLikeCompressor:
     """Error-bounded transform compressor (ZFP family)."""
 
     name = "ZFP-like"
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the decoder's exact reconstruction."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
+        eb = float(error_bound)
         T, H, W = frames.shape
         padded = _pad_to(frames, 4)
         blocks = _block_view(padded)
         # separable transform: rows then columns
         coef = np.einsum("ij,bjk,lk->bil", _ZFP_T, blocks, _ZFP_T,
                          optimize=True)
-        qstep = 2.0 * error_bound / _INV_NORM
-        q = np.rint(coef / qstep).astype(np.int64)
+        q = np.rint(coef / _qstep(eb)).astype(np.int64).reshape(-1, 16)
         header = _MAGIC + struct.pack("<IIIIId", T, H, W,
                                       padded.shape[1], padded.shape[2],
-                                      error_bound)
+                                      eb)
         # separate contexts: DC coefficient vs the 15 AC coefficients
-        dc = q[:, 0, 0]
-        ac = np.concatenate([q.reshape(-1, 16)[:, 1:].ravel()])
-        return header + encode_ints(dc) + encode_ints(ac)
+        payload = header + encode_ints(q[:, 0]) + encode_ints(q[:, 1:])
+        return payload, _synthesize(q, eb, frames.shape, padded.shape[1:])
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
@@ -102,13 +127,7 @@ class ZFPLikeCompressor:
         pos = 4 + struct.calcsize("<IIIIId")
         dc, pos = decode_ints(data, pos)
         ac, pos = decode_ints(data, pos)
-        nb = dc.size
-        q = np.zeros((nb, 16), dtype=np.int64)
+        q = np.empty((dc.size, 16), dtype=np.int64)
         q[:, 0] = dc
-        q[:, 1:] = ac.reshape(nb, 15)
-        qstep = 2.0 * eb / _INV_NORM
-        coef = q.reshape(nb, 4, 4).astype(np.float64) * qstep
-        blocks = np.einsum("ij,bjk,lk->bil", _ZFP_TI, coef, _ZFP_TI,
-                           optimize=True)
-        padded = _unblock(blocks, (T, Hp, Wp))
-        return padded[:, :H, :W]
+        q[:, 1:] = ac.reshape(dc.size, 15)
+        return _synthesize(q, eb, (T, H, W), (Hp, Wp))

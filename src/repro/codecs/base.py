@@ -129,7 +129,12 @@ class Codec(abc.ABC):
     :meth:`compress` / :meth:`decompress`.  ``compress`` must return a
     :class:`CodecResult` whose ``payload`` decodes — via
     :meth:`decompress` on the *same* codec instance — to exactly the
-    ``reconstruction`` it reports.
+    ``reconstruction`` it reports.  That reconstruction may come from
+    the encoder itself rather than from decoding the payload: the
+    rule-based codecs take it from their native ``encode``, and
+    ``tests/baselines/test_encoder_reconstruction.py`` proves it is
+    bitwise ``decompress(payload)`` for every codec, entropy backend,
+    bound and shape it covers.
     """
 
     #: registry name; assigned by :func:`repro.codecs.register_codec`

@@ -10,6 +10,18 @@ underlying keyword declared by :attr:`RuleBasedCodec.bound_arg` and
 wraps the stream into a :class:`~repro.codecs.base.CodecResult` with
 honest end-to-end accounting (``latent_bytes`` is exactly
 ``len(payload)``).
+
+Compression encodes once.  Every native compressor has
+``encode(frames, bound) -> (payload, recon)``, where ``recon`` is the
+reconstruction its own decoder would return, and the adapter reports
+that as ``CodecResult.reconstruction`` instead of decoding the payload
+it just wrote.  The closed-loop predictors (szlike, dpcm) already hold
+it; the transform coders (zfplike, mgard, tthresh) run the same
+dequantize/inverse-transform function as their decoder; fazlike's
+wavelet branch is integer-reversible.  That ``recon`` is bitwise
+``decompress(payload)`` is proven by
+``tests/baselines/test_encoder_reconstruction.py``, and
+``tests/baselines/test_wire_format.py`` pins the payload bytes.
 """
 
 from __future__ import annotations
@@ -67,9 +79,8 @@ class RuleBasedCodec(Codec):
                 f"{self.name} is an error-bounded coder and requires a "
                 f"{self.capabilities.bound_kind} bound")
         t0 = time.perf_counter()
-        payload = self._impl.compress(frames, **{self.bound_arg:
-                                                 float(bound)})
-        recon = self._impl.decompress(payload)
+        payload, recon = self._impl.encode(
+            frames, **{self.bound_arg: float(bound)})
         seconds = time.perf_counter() - t0
         acc = CompressionAccounting(
             original_bytes=frames.size * self.original_dtype_bytes,

@@ -37,28 +37,47 @@ _HEADER = "<IqiI"  # count, vmin, alphabet, body length
 _MAX_HISTOGRAM_ALPHABET = 1 << 12
 
 
+#: a zigzagged value ``u`` takes ``1 + searchsorted(_VARINT_LIMITS, u,
+#: "right")`` bytes as a varint
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)],
+                          dtype=np.uint64)
+_VARINT_SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)
+_VARINT_HEADER = 6  # magic + uint32 count
+
+
 def _zigzag(v: np.ndarray) -> np.ndarray:
-    return np.where(v >= 0, 2 * v, -2 * v - 1).astype(np.uint64)
+    """int64 -> uint64 (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...).
+
+    Shift/xor on the raw 64 bits, so the whole int64 range maps
+    without overflow.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    return (v.view(np.uint64) << np.uint64(1)) ^ (v >> 63).view(np.uint64)
 
 
 def _unzigzag(u: np.ndarray) -> np.ndarray:
-    u = u.astype(np.int64)
-    return np.where(u % 2 == 0, u // 2, -(u // 2) - 1)
+    u = np.asarray(u, dtype=np.uint64)
+    return ((u >> np.uint64(1)) ^ -(u & np.uint64(1))).view(np.int64)
 
 
-def _encode_varints(values: np.ndarray) -> bytes:
-    out = bytearray(_VARINT_MAGIC)
-    out += struct.pack("<I", values.size)
-    for u in _zigzag(values).tolist():
-        while True:
-            byte = u & 0x7F
-            u >>= 7
-            if u:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return bytes(out)
+def _varint_lengths(u: np.ndarray) -> np.ndarray:
+    """Bytes each zigzagged value takes as a base-128 varint."""
+    return np.searchsorted(_VARINT_LIMITS, u, side="right") + 1
+
+
+def _encode_varints(u: np.ndarray, lens: np.ndarray) -> bytes:
+    """``RV`` payload of zigzagged values ``u`` with lengths ``lens``.
+
+    Each value is written as little-endian 7-bit groups, the high bit
+    set on every byte but its last.
+    """
+    width = int(lens.max())
+    groups = ((u[:, None] >> _VARINT_SHIFTS[:width]).astype(np.uint8)
+              & np.uint8(0x7F))
+    pos = np.arange(width)
+    groups |= (pos < (lens - 1)[:, None]).astype(np.uint8) << np.uint8(7)
+    body = groups[pos < lens[:, None]]
+    return _VARINT_MAGIC + struct.pack("<I", u.size) + body.tobytes()
 
 
 def _decode_varints(data: bytes, offset: int) -> Tuple[np.ndarray, int]:
@@ -96,9 +115,20 @@ def encode_ints(values: np.ndarray, backend=None) -> bytes:
     vmin = int(values.min())
     vmax = int(values.max())
     alphabet = vmax - vmin + 1
-    varint = _encode_varints(values)
-    if alphabet > _MAX_HISTOGRAM_ALPHABET:
-        return varint
+    if coder.name == DEFAULT_BACKEND:
+        magic = _MAGIC
+    else:
+        magic = _TAGGED_MAGIC + struct.pack("<B", coder.tag)
+    # The histogram header can dominate small payloads; keep whichever
+    # representation is actually smaller (magic bytes disambiguate).
+    # The varints are sized without being built, and when they beat
+    # the histogram header alone the body is never entropy-coded.
+    zigzag = _zigzag(values)
+    lens = _varint_lengths(zigzag)
+    varint_size = _VARINT_HEADER + int(lens.sum())
+    header_size = len(magic) + struct.calcsize(_HEADER) + 4 * alphabet
+    if alphabet > _MAX_HISTOGRAM_ALPHABET or varint_size < header_size:
+        return _encode_varints(zigzag, lens)
     symbols = values - vmin
     hist = np.bincount(symbols, minlength=alphabet).astype(np.int64)
     if alphabet == 1:
@@ -106,16 +136,11 @@ def encode_ints(values: np.ndarray, backend=None) -> bytes:
     else:
         tables = pmf_to_cumulative(hist[None, :].astype(np.float64))
         body = coder.encode(symbols, tables, np.zeros(n, dtype=np.int64))
-    if coder.name == DEFAULT_BACKEND:
-        header = _MAGIC
-    else:
-        header = _TAGGED_MAGIC + struct.pack("<B", coder.tag)
-    header += struct.pack(_HEADER, n, vmin, alphabet, len(body))
-    header += hist.astype("<u4").tobytes()
-    coded = header + body
-    # The histogram header can dominate small payloads; keep whichever
-    # representation is actually smaller (magic bytes disambiguate).
-    return coded if len(coded) <= len(varint) else varint
+    coded = (magic + struct.pack(_HEADER, n, vmin, alphabet, len(body))
+             + hist.astype("<u4").tobytes() + body)
+    if len(coded) <= varint_size:
+        return coded
+    return _encode_varints(zigzag, lens)
 
 
 def decode_ints(data: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
