@@ -19,10 +19,11 @@ backend dispatch has its own perf trajectory.  Process pools are kept
 warm across repetitions (fork cost is a per-sweep constant, not a
 per-batch one) and reconstructions stay in the workers
 (``keep_reconstruction=False``), matching how production sweeps run.
-On a single-CPU box the thread and process backends measure within a
-few percent of serial (there is nothing to parallelize); the process
-pool's advantage over the GIL-bound codec loops appears with real
-cores.
+The thread backend runs these codecs in the calling thread (they
+declare ``holds_gil``), so its figure tracks serial.  On a single-CPU
+box the process backend also measures within a few percent of serial
+(there is nothing to parallelize); the process pool's advantage over
+the GIL-bound codec loops appears with real cores.
 
 The ``nn`` block times every learned codec twice — on the inference
 fast path and under an in-run legacy emulation (fast kernels off,

@@ -71,6 +71,10 @@ class CodecCapabilities:
     learned: bool = False
     #: supports reduced-resolution/progressive decodes
     progressive: bool = False
+    #: compress/decompress spend their time in pure-Python loops that
+    #: hold the GIL; thread executors run such work in the calling
+    #: thread (see :meth:`repro.runtime.TaskRuntime.run`)
+    holds_gil: bool = False
 
     def __post_init__(self):
         if self.bound_kind not in BOUND_KINDS:

@@ -50,7 +50,7 @@ class RuleBasedCodec(Codec):
     #: keyword the native ``compress`` takes its bound under
     bound_arg: str = "error_bound"
     capabilities = CodecCapabilities(bound_kind="pointwise",
-                                    requires_bound=True)
+                                    requires_bound=True, holds_gil=True)
 
     def __init__(self, impl=None, *, original_dtype_bytes: int = 4,
                  **impl_kwargs):
@@ -116,7 +116,7 @@ class TTHRESHCodec(RuleBasedCodec):
     impl_cls = TTHRESHLikeCompressor
     bound_arg = "rmse_bound"
     capabilities = CodecCapabilities(bound_kind="rmse",
-                                    requires_bound=True)
+                                    requires_bound=True, holds_gil=True)
 
 
 @register_codec("mgard")
@@ -126,7 +126,7 @@ class MGARDCodec(RuleBasedCodec):
     impl_cls = MGARDLikeCompressor
     capabilities = CodecCapabilities(bound_kind="pointwise",
                                     requires_bound=True,
-                                    progressive=True)
+                                    progressive=True, holds_gil=True)
 
     def decompress(self, payload: bytes,
                    max_level: Optional[int] = None) -> np.ndarray:

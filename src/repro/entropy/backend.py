@@ -10,16 +10,17 @@ the coder behind that contract a named, tagged strategy:
     The Witten–Neal–Cleary coder (:mod:`repro.entropy.coder`).  The
     historical default: every stream written before backends existed
     is an arithmetic stream, so *untagged* data always decodes through
-    it, bit-identically.
+    it, bit-identically.  Still one Python loop trip per symbol, but
+    each trip renormalizes a whole shared prefix in one shift rather
+    than one bit at a time (:mod:`repro.entropy.rangecoder`).
 ``rans``
     Scalar rANS (:mod:`repro.entropy.rans`).  Same compressed size to
     within a fraction of a bit, LIFO symbol order, strict
     end-of-stream verification.
 ``vrans``
     N-lane interleaved rANS with numpy lane-vectorized state updates
-    (:mod:`repro.entropy.vrans`) — the first fast path; the per-symbol
-    Python loop of the other two is the dominant cost of every
-    compress/decompress in the repo.
+    (:mod:`repro.entropy.vrans`) — the first fast path: one Python loop
+    trip per *step* of ``lanes`` symbols instead of one per symbol.
 ``trans``
     Table-cached LUT rANS (:mod:`repro.entropy.tablecoder`) — fast
     path round 2: per-context slot→symbol lookup tables give O(1)

@@ -1,4 +1,9 @@
-"""Bit-level I/O used by the arithmetic coder."""
+"""Bit-level I/O: an MSB-first bit writer and reader.
+
+A public utility: the arithmetic coder keeps integer bit buffers of
+its own (:mod:`repro.entropy.rangecoder`), which take a whole shared
+prefix per symbol.
+"""
 
 from __future__ import annotations
 

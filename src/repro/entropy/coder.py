@@ -18,22 +18,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .rangecoder import MAX_TOTAL, ArithmeticDecoder, ArithmeticEncoder
+from .rangecoder import (MAX_TOTAL, ArithmeticDecoder, ArithmeticEncoder,
+                         EntropyDecodeError)
 
 __all__ = ["encode_symbols", "decode_symbols", "pmf_to_cumulative",
            "check_contexts", "EntropyDecodeError"]
-
-
-class EntropyDecodeError(ValueError):
-    """A compressed symbol stream failed validation during decode.
-
-    Raised by the strict decoders (``vrans``, ``trans``) on truncated
-    streams, trailing words, states that fail to return to the initial
-    rANS value, or slots that fall outside their table's valid range —
-    anywhere the alternative would be silently decoding garbage.
-    Subclasses :class:`ValueError` so callers that catch the historical
-    error type keep working.
-    """
 
 
 def check_contexts(contexts: np.ndarray, n_contexts: int) -> None:
@@ -113,31 +102,28 @@ def encode_symbols(symbols: np.ndarray, cumulative: np.ndarray,
         raise ValueError(
             f"symbol out of range [0, {alphabet}): "
             f"[{symbols.min()}, {symbols.max()}]")
-    # Vectorized gather of all interval triples, then a tight coder loop.
-    lo = cumulative[contexts, symbols]
-    hi = cumulative[contexts, symbols + 1]
-    tot = cumulative[contexts, -1]
+    # Vectorized gather of all interval triples, then one coder loop.
     enc = ArithmeticEncoder()
-    encode = enc.encode
-    for a, b, t in zip(lo.tolist(), hi.tolist(), tot.tolist()):
-        encode(a, b, t)
+    enc.encode_array(cumulative[contexts, symbols],
+                     cumulative[contexts, symbols + 1],
+                     cumulative[contexts, -1])
     return enc.finish()
 
 
 def decode_symbols(data: bytes, cumulative: np.ndarray,
                    contexts: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_symbols` (requires the same contexts)."""
+    """Inverse of :func:`encode_symbols` (requires the same contexts).
+
+    Raises :class:`EntropyDecodeError` when a decoded target falls
+    outside its table.  Only a malformed table gets there (a zero
+    total, say): with a valid one the decoder's value never leaves its
+    interval, whatever the bytes, so corrupted bytes decode to
+    different symbols, not errors.
+    """
     contexts = np.asarray(contexts, dtype=np.int64).ravel()
     check_contexts(contexts, cumulative.shape[0])
-    dec = ArithmeticDecoder(data)
-    out = np.empty(contexts.size, dtype=np.int64)
-    totals = cumulative[:, -1]
-    for i, c in enumerate(contexts.tolist()):
-        row = cumulative[c]
-        total = int(totals[c])
-        target = dec.decode_target(total)
-        # rightmost index with row[s] <= target  ->  symbol s
-        s = int(np.searchsorted(row, target, side="right")) - 1
-        dec.advance(int(row[s]), int(row[s + 1]), total)
-        out[i] = s
-    return out
+    rows = np.asarray(cumulative).tolist()
+    totals = [row[-1] for row in rows]
+    out = ArithmeticDecoder(data).decode_rows(rows, totals,
+                                              contexts.tolist())
+    return np.array(out, dtype=np.int64)

@@ -135,6 +135,14 @@ def encode_symbols_vrans(symbols: np.ndarray, cumulative: np.ndarray,
     lo, hi, tot = _gather_triples(symbols, np.ascontiguousarray(cumulative),
                                   contexts)
     freq = hi - lo
+    # Everything but the states is known up front: each symbol's
+    # renormalization threshold, and ``tot - freq`` for the update
+    # ``(x // f) * tot + lo + x % f == x + (x // f) * (tot - f) + lo``,
+    # which needs one division where the textbook form needs two.
+    x_max = (_X_MAX_NUM // tot) * freq
+    gap = tot - freq
+    # constants as arrays: cheaper per numpy call than numpy scalars
+    word_bits = np.full(L, _WORD_BITS)
 
     states = np.full(L, _STATE_L, dtype=np.uint64)
     emitted = []  # chronological chunks of renormalization words
@@ -143,23 +151,20 @@ def encode_symbols_vrans(symbols: np.ndarray, cumulative: np.ndarray,
     # first and touches only the leading ``n - (n_steps-1)*L`` lanes.
     for t in range(n_steps - 1, -1, -1):
         a = t * L
-        k = min(L, n - a)
-        f = freq[a:a + k]
-        tt = tot[a:a + k]
-        ll = lo[a:a + k]
-        x = states[:k]
-        x_max = (_X_MAX_NUM // tt) * f
-        m = x >= x_max
-        if m.any():
-            # ascending lane order within the step (np.nonzero order);
-            # the whole sequence is reversed below, so the decoder
-            # consumes descending-lane words while walking forward
-            emitted.append((x[m] & _WORD_MASK).astype("<u4"))
-            x = np.where(m, x >> _WORD_BITS, x)
-        states[:k] = (x // f) * tt + ll + (x % f)
+        b = min(a + L, n)
+        x = states[:b - a]
+        m = x >= x_max[a:b]
+        if np.count_nonzero(m):
+            # ascending lane order within the step (boolean-mask
+            # order); the whole sequence is reversed below, so the
+            # decoder consumes descending-lane words while walking
+            # forward
+            emitted.append(x[m])
+            x = x >> (m * word_bits[:b - a])
+        states[:b - a] = x + (x // freq[a:b]) * gap[a:b] + lo[a:b]
 
     if emitted:
-        words = np.ascontiguousarray(np.concatenate(emitted)[::-1])
+        words = (np.concatenate(emitted)[::-1] & _WORD_MASK).astype("<u4")
     else:
         words = np.zeros(0, dtype="<u4")
     return (struct.pack("<B", L) + states.astype("<u8").tobytes()
@@ -198,6 +203,8 @@ def decode_symbols_vrans(data: bytes, cumulative: np.ndarray,
         raise ValueError(
             f"total {int(tot_all.max())} exceeds MAX_TOTAL {MAX_TOTAL}")
     scaled_all = _pow2_vec(tot_all)
+    rescaled_all = scaled_all != tot_all
+    any_rescaled = bool(rescaled_all.any())
 
     # Shared-total tables (everything pmf_to_cumulative builds) get a
     # single monotone key array: row c occupies [c*stride, c*stride +
@@ -206,60 +213,79 @@ def decode_symbols_vrans(data: bytes, cumulative: np.ndarray,
     uniform = n_ctx > 0 and int(totals.min()) == int(totals.max())
     if uniform:
         stride = int(totals[0]) + 1
-        flat = (cumulative.astype(np.int64)
-                + np.arange(n_ctx, dtype=np.int64)[:, None] * stride
-                ).ravel()
+        flat = (cumulative.astype(np.uint64)
+                + np.arange(n_ctx, dtype=np.uint64)[:, None]
+                * np.uint64(stride)).ravel()
+        key_base = contexts.astype(np.uint64) * np.uint64(stride)
+    # A symbol is carried through the loop as ``p``, the index of its
+    # ``cum_hi`` in the raveled table: ``p = ctx * width + s + 1``.
+    # ``cum_lo`` sits at ``p - 1``, so one shifted copy of the table
+    # gathers it with the same index.
+    cum_hi = cumulative.astype(np.uint64).ravel()
+    cum_lo = np.concatenate(([np.uint64(0)], cum_hi[:-1]))
+    freq = cum_hi - cum_lo
+    row_base = contexts * width + 1
+    # power-of-two totals: the division by ``scaled`` is a shift and
+    # a mask; constants are arrays, cheaper per call than numpy scalars
+    shift_all = np.log2(scaled_all).astype(np.uint64)
+    mask_all = scaled_all - _ONE
+    state_l = np.full(L, _STATE_L)
+    word_bits = np.full(L, _WORD_BITS)
 
-    out = np.empty(n, dtype=np.int64)
+    picked = []  # per step, the ``p`` of every lane
     wpos = 0
     n_steps = -(-n // L)
     for t in range(n_steps):
         a = t * L
-        k = min(L, n - a)
-        ctx = contexts[a:a + k]
-        tt = tot_all[a:a + k]
-        sc = scaled_all[a:a + k]
-        x = states[:k]
-        slot = x % sc
-        rescaled = sc != tt
-        # inverse of the encoder's boundary map c -> c*scaled//total
-        slot_sym = np.where(rescaled,
-                            ((slot + _ONE) * tt - _ONE) // sc,
-                            slot).astype(np.int64)
-        if uniform:
-            p = np.searchsorted(flat, ctx * stride + slot_sym,
-                                side="right") - 1
-            s = p - ctx * width
+        b = min(a + L, n)
+        x = states[:b - a]
+        q = x >> shift_all[a:b]
+        slot = x & mask_all[a:b]
+        if any_rescaled:
+            sc = scaled_all[a:b]
+            tt = tot_all[a:b]
+            rescaled = rescaled_all[a:b]
+            # inverse of the encoder's boundary map c -> c*scaled//total
+            slot_sym = np.where(rescaled,
+                                ((slot + _ONE) * tt - _ONE) // sc, slot)
         else:
-            rows = cumulative[ctx]
-            s = (rows <= slot_sym[:, None]).sum(axis=1) - 1
+            slot_sym = slot
+        if uniform:
+            p = np.searchsorted(flat, key_base[a:b] + slot_sym,
+                                side="right")
+        else:
+            ctx = contexts[a:b]
+            s = (cumulative[ctx] <= slot_sym[:, None]).sum(axis=1) - 1
             # A corrupted stream (or a table violating the row
             # contract) can place the slot below ``row[0]`` or past the
             # last boundary, yielding s == -1 or s == alphabet; fancy-
-            # indexing ``cumulative[ctx, s + 1]`` with those would wrap
-            # (or step out of the row) and decode garbage.
+            # indexing the table with those would wrap (or step out of
+            # the row) and decode garbage.
             if s.size and (int(s.min()) < 0 or int(s.max()) >= width - 1):
                 raise EntropyDecodeError(
                     "corrupted vrans stream: decoded slot outside the "
                     "cumulative table range")
-        out[a:a + k] = s
-        lo = cumulative[ctx, s].astype(np.uint64)
-        hi = cumulative[ctx, s + 1].astype(np.uint64)
-        if rescaled.any():
+            p = row_base[a:b] + s
+        picked.append(p)
+        lo = cum_lo[p]
+        if any_rescaled:
+            hi = cum_hi[p]
             lo = np.where(rescaled, lo * sc // tt, lo)
             hi = np.where(rescaled, hi * sc // tt, hi)
-        x = (hi - lo) * (x // sc) + slot - lo
-        m = x < _STATE_L
-        cnt = int(m.sum())
+            x = (hi - lo) * q + slot - lo
+        else:
+            x = freq[p] * q + slot - lo
+        m = x < state_l[:b - a]
+        cnt = np.count_nonzero(m)
         if cnt:
             if wpos + cnt > words.size:
                 raise EntropyDecodeError(
                     "corrupted vrans stream: out of words")
-            lanes_idx = np.nonzero(m)[0][::-1]  # descending lane order
-            x[lanes_idx] = ((x[lanes_idx] << _WORD_BITS)
+            lanes_idx = m.nonzero()[0][::-1]  # descending lane order
+            x[lanes_idx] = ((x[lanes_idx] << word_bits[:cnt])
                             | words[wpos:wpos + cnt])
             wpos += cnt
-        states[:k] = x
+        states[:b - a] = x
 
     if wpos != words.size:
         raise EntropyDecodeError(f"corrupted vrans stream: "
@@ -268,4 +294,6 @@ def decode_symbols_vrans(data: bytes, cumulative: np.ndarray,
         raise EntropyDecodeError(
             "corrupted vrans stream: decoder did not return to the "
             "initial state")
-    return out
+    if not picked:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(picked) - row_base

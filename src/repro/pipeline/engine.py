@@ -301,7 +301,9 @@ class CodecEngine:
         t0 = time.perf_counter()
         if journal is None and on_event is None:
             # fast path: plain ordered map, zero bookkeeping overhead
-            reports = self.executor.map(_run_window_job, jobs)
+            reports = self.executor.map(
+                _run_window_job, jobs,
+                holds_gil=self.codec.capabilities.holds_gil)
             return BatchResult(reports=reports,
                                wall_seconds=time.perf_counter() - t0)
 
@@ -332,7 +334,8 @@ class CodecEngine:
             by_index[report.index] = report
 
         self.executor.run_tasks(remaining, on_result=_record,
-                                on_event=on_event)
+                                on_event=on_event,
+                                holds_gil=self.codec.capabilities.holds_gil)
         reports = [by_index[job.index] for job in jobs]
         return BatchResult(reports=reports,
                            wall_seconds=time.perf_counter() - t0,
@@ -416,7 +419,9 @@ class CodecEngine:
 
     # ------------------------------------------------------------------
     def decompress(self, payloads: Sequence[bytes]) -> List[np.ndarray]:
-        """Decode every payload (ordered, parallel)."""
+        """Decode every payload, in order, on the executor."""
         ref = self._codec_ref()
         jobs = [_DecodeJob(codec_ref=ref, payload=p) for p in payloads]
-        return self.executor.map(_run_decode_job, jobs)
+        return self.executor.map(
+            _run_decode_job, jobs,
+            holds_gil=self.codec.capabilities.holds_gil)

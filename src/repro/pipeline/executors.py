@@ -15,7 +15,9 @@ Journal-aware callers (the engine's resumable sweeps) use
 ``thread``
     :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy kernels
     release the GIL, so threads scale the matrix-heavy codecs without
-    any serialization cost.
+    any serialization cost.  Work marked ``holds_gil`` (the rule-based
+    codecs' pure-Python loops) runs in the calling thread instead:
+    pool threads would only take turns on the GIL.
 ``process``
     :class:`~concurrent.futures.ProcessPoolExecutor` (``fork`` context
     where available).  Sidesteps the GIL for the pure-Python codec hot
@@ -82,24 +84,28 @@ class Executor:
         """The underlying shared task runtime."""
         return self._runtime
 
-    def map(self, fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
+    def map(self, fn: Callable[[T], U], items: Sequence[T], *,
+            holds_gil: bool = False) -> List[U]:
         """Apply ``fn`` to every item, preserving order.
 
         Exceptions raised by ``fn`` propagate to the caller exactly as
-        in the serial path.
+        in the serial path.  ``holds_gil`` marks pure-Python work,
+        which the thread backend runs in the calling thread (see
+        :meth:`~repro.runtime.TaskRuntime.run`).
         """
-        return self._runtime.map(fn, items)
+        return self._runtime.map(fn, items, holds_gil=holds_gil)
 
     def run_tasks(self, tasks: Sequence[Task],
                   on_result: Optional[ResultFn] = None,
-                  on_event: Optional[EventFn] = None) -> List[TaskOutcome]:
+                  on_event: Optional[EventFn] = None, *,
+                  holds_gil: bool = False) -> List[TaskOutcome]:
         """Dispatch explicit task records with completion callbacks.
 
         ``on_result`` fires per task in completion order (before that
         task's ``completed`` event) — the seam the sweep journal hooks.
         """
         return self._runtime.run(tasks, on_result=on_result,
-                                 on_event=on_event)
+                                 on_event=on_event, holds_gil=holds_gil)
 
     def close(self) -> None:
         """Release pooled resources; idempotent and exception-safe."""

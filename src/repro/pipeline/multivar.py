@@ -292,6 +292,9 @@ class MultiVariableCompressor:
                              for k, v in compressor.items()}
         else:
             self._shared = as_codec(compressor)
+        codecs = ([self._shared] if self._shared is not None
+                  else self._per_var.values())
+        self._holds_gil = all(c.capabilities.holds_gil for c in codecs)
 
     def _for(self, name: str):
         if self._shared is not None:
@@ -331,7 +334,8 @@ class MultiVariableCompressor:
                 stack, bound=target,
                 seed=noise_seed + VAR_SEED_STRIDE * vi)
 
-        results = dict(self._executor.map(task, jobs))
+        results = dict(self._executor.map(task, jobs,
+                                          holds_gil=self._holds_gil))
         # the executor preserves order, but rebuild by stack order for
         # deterministic iteration anyway
         return MultiVarResult(
@@ -361,7 +365,8 @@ class MultiVariableCompressor:
                     f"{codec_name!r} but {codec.name!r} is configured")
             return name, codec.decompress(payload)
 
-        return dict(self._executor.map(task, jobs))
+        return dict(self._executor.map(task, jobs,
+                                       holds_gil=self._holds_gil))
 
     # ------------------------------------------------------------------
     @staticmethod

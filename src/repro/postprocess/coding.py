@@ -23,7 +23,7 @@ import numpy as np
 
 from ..entropy.backend import (DEFAULT_BACKEND, backend_from_tag,
                                get_backend)
-from ..entropy.coder import pmf_to_cumulative
+from ..entropy.coder import EntropyDecodeError, pmf_to_cumulative
 
 __all__ = ["encode_ints", "decode_ints"]
 
@@ -43,6 +43,8 @@ _VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)],
                           dtype=np.uint64)
 _VARINT_SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)
 _VARINT_HEADER = 6  # magic + uint32 count
+#: a uint64 needs at most ten 7-bit groups; the tenth holds one bit
+_VARINT_MAX_BYTES = 10
 
 
 def _zigzag(v: np.ndarray) -> np.ndarray:
@@ -81,20 +83,50 @@ def _encode_varints(u: np.ndarray, lens: np.ndarray) -> bytes:
 
 
 def _decode_varints(data: bytes, offset: int) -> Tuple[np.ndarray, int]:
+    """Inverse of :func:`_encode_varints` for the payload at ``offset``.
+
+    Every varint ends at the first byte without its high bit, so the
+    ends of all ``n`` of them are one vectorized search.  ``n`` is
+    checked against the bytes that remain before anything is
+    allocated, and a truncated body or a varint longer than a uint64
+    raises :class:`EntropyDecodeError`.
+    """
+    pos = offset + _VARINT_HEADER
+    if len(data) < pos:
+        raise EntropyDecodeError(
+            "corrupted varint payload: truncated header")
     n, = struct.unpack_from("<I", data, offset + 2)
-    pos = offset + 2 + 4
-    vals = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        u, shift = 0, 0
-        while True:
-            byte = data[pos]
-            pos += 1
-            u |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        vals[i] = u
-    return _unzigzag(vals), pos
+    if n > len(data) - pos:  # every varint takes at least one byte
+        raise EntropyDecodeError(
+            f"corrupted varint payload: {n} values in "
+            f"{len(data) - pos} bytes")
+    if not n:
+        return np.zeros(0, dtype=np.int64), pos
+    # n varints of at most ten bytes each end within this window
+    window = np.frombuffer(data, dtype=np.uint8, offset=pos,
+                           count=min(len(data) - pos, _VARINT_MAX_BYTES * n))
+    ends = (window < 0x80).nonzero()[0][:n]
+    if ends.size < n:
+        if window.size < len(data) - pos:
+            raise EntropyDecodeError(
+                "corrupted varint payload: value overflows 64 bits")
+        raise EntropyDecodeError("corrupted varint payload: truncated")
+    starts = np.zeros(n, dtype=ends.dtype)
+    starts[1:] = ends[:-1] + 1
+    lens = ends - starts + 1
+    # a tenth byte may carry only bit 63, and there is no eleventh
+    if int(lens.max()) >= _VARINT_MAX_BYTES and (
+            (lens > _VARINT_MAX_BYTES).any()
+            or (window[ends[lens == _VARINT_MAX_BYTES]] > 1).any()):
+        raise EntropyDecodeError(
+            "corrupted varint payload: value overflows 64 bits")
+    body = window[:ends[-1] + 1]
+    # byte j of its varint carries bits 7j..7j+6
+    shifts = (np.arange(body.size) - np.repeat(starts, lens)) * 7
+    vals = np.bitwise_or.reduceat(
+        (body & np.uint8(0x7F)).astype(np.uint64) << shifts.astype(np.uint64),
+        starts)
+    return _unzigzag(vals), pos + int(body.size)
 
 
 def encode_ints(values: np.ndarray, backend=None) -> bytes:

@@ -123,7 +123,8 @@ class TaskRuntime:
     # -- batch dispatch -------------------------------------------------
     def run(self, tasks: Sequence[Task],
             on_result: Optional[ResultFn] = None,
-            on_event: Optional[EventFn] = None) -> List[TaskOutcome]:
+            on_event: Optional[EventFn] = None, *,
+            holds_gil: bool = False) -> List[TaskOutcome]:
         """Run ``tasks``, returning outcomes in task order.
 
         ``on_result`` fires once per task, in completion order,
@@ -133,6 +134,12 @@ class TaskRuntime:
         completion.  A task that exhausts its retries raises its last
         exception after a ``failed`` event; remaining futures are
         cancelled best-effort.
+
+        ``holds_gil`` declares that the tasks spend their time in
+        pure-Python loops.  Pool threads would take turns on the GIL,
+        handing it across CPUs at every switch, so thread mode runs
+        such tasks in the calling thread instead; process mode still
+        fans them out.
         """
         tasks = list(tasks)
         if not tasks:
@@ -140,15 +147,18 @@ class TaskRuntime:
         workers = min(self.max_workers, len(tasks))
         if self.mode == "process":
             workers = min(workers, default_workers())
-        if self.mode == "serial" or workers <= 1:
+        if (self.mode == "serial" or workers <= 1
+                or (self.mode == "thread" and holds_gil)):
             return self._run_inline(tasks, on_result, on_event)
         return self._run_pool(tasks, workers, on_result, on_event)
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any], *,
+            holds_gil: bool = False) -> List[Any]:
         """Ordered map of ``fn`` over ``items`` (executor-compat sugar)."""
         tasks = [Task(task_id=str(i), fn=fn, payload=item, index=i)
                  for i, item in enumerate(items)]
-        return [outcome.value for outcome in self.run(tasks)]
+        return [outcome.value
+                for outcome in self.run(tasks, holds_gil=holds_gil)]
 
     def _task_retries(self, task: Task) -> int:
         return self.retries if task.max_retries is None else task.max_retries

@@ -1,5 +1,7 @@
 """Unit tests for the lane-vectorized interleaved rANS coder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,42 @@ class TestVransCorruption:
         with pytest.raises(EntropyDecodeError,
                            match="outside the cumulative table"):
             decode_symbols_vrans(data, tables, contexts)
+
+
+def _pinned_case(kind):
+    rng = np.random.default_rng(3)
+    if kind == "pow2":
+        cum = pmf_to_cumulative(rng.random((8, 40)) ** 3)
+    elif kind == "rescaled":  # shared non-power-of-two total
+        cum = pmf_to_cumulative(rng.random((8, 40)) ** 3, total=50000)
+    else:  # mixed per-row totals: the masked-comparison decode
+        cum = np.stack([pmf_to_cumulative(rng.random((1, 40)), total=t)[0]
+                        for t in (40, 999, 4096, 50000, 65536)])
+    contexts = rng.integers(0, cum.shape[0], size=3000)
+    u = rng.random(contexts.size) * cum[contexts, -1]
+    symbols = (cum[contexts] <= u[:, None]).sum(axis=1) - 1
+    return symbols, cum, contexts
+
+
+@pytest.mark.parametrize("kind,lanes,digest", [
+    ("pow2", None,
+     "aa701bc41bef351e048b6c4251d0d723d1f8744f55db54785f36349a7d69178f"),
+    ("pow2", 7,
+     "8ed976584456756bb033d5f9a42d334fc373f010b69df632c573ac08a36fc0f2"),
+    ("rescaled", None,
+     "d8ee28b623e5678ef2849158fef1e8cf0bd8402ee15968b07d42800fb9556e5b"),
+    ("rescaled", 7,
+     "55b2877dd7b383169fc18415725b6c37c18758e6fcb6f78a50517b403da88bf3"),
+    ("mixed", None,
+     "ddf7afb87197c459599db421be0cc26413b8e6d896382d7774fdf1c77e27c00a"),
+    ("mixed", 7,
+     "7224f96c4bae1ac7fd88c961dfa58111c205c10a4c1f21e06cdee5f224a537ab"),
+])
+def test_stream_bytes_are_pinned(kind, lanes, digest):
+    """vrans bytes stay those of the first vectorized coder (digests
+    recorded before its step loop hoisted its per-step constants)."""
+    symbols, cum, contexts = _pinned_case(kind)
+    data = encode_symbols_vrans(symbols, cum, contexts, lanes=lanes)
+    assert hashlib.sha256(data).hexdigest() == digest
+    np.testing.assert_array_equal(
+        decode_symbols_vrans(data, cum, contexts), symbols)
