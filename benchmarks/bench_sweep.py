@@ -31,7 +31,7 @@ import shutil
 import time
 
 from repro.api import Session
-from repro.pipeline.plan import _variable_frames
+from repro.pipeline.plan import _VARIABLE_CACHE
 
 from .bench_codec_registry import _append_trajectory, _prior_record
 from .conftest import save_json
@@ -76,7 +76,7 @@ class _CrashAfter:
 def _timed_sweep(session, **kwargs):
     # the planner memoises synthetic variables; clear it so every
     # measured run pays the same generation cost
-    _variable_frames.cache_clear()
+    _VARIABLE_CACHE.clear()
     t0 = time.perf_counter()
     archive = session.sweep("e3sm", **SWEEP_KW, **kwargs)
     return time.perf_counter() - t0, archive

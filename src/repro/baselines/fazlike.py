@@ -14,9 +14,10 @@ implements the same two-module family:
 
 :class:`FAZLikeCompressor.compress` runs both candidate pipelines and
 keeps whichever stream is smaller (a 1-byte selector records the
-choice), which is FAZ's auto-tuning in its simplest honest form.  Both
-candidates guarantee the same pointwise bound, so the selection cannot
-weaken the guarantee.
+choice), which is FAZ's auto-tuning in its simplest honest form.  A
+proven lower bound on each candidate's coded size spares entropy
+coding the one that cannot win.  Both candidates guarantee the same
+pointwise bound, so the selection cannot weaken the guarantee.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import (decode_ints, encode_ints,
+                                  encoded_size_bound)
 from .szlike import SZLikeCompressor
 
 __all__ = ["FAZLikeCompressor", "WaveletCoder", "lift_forward",
@@ -104,6 +106,17 @@ def _corner_sizes(shape: Tuple[int, ...], levels: int
     return sizes
 
 
+def _pack(header: bytes, arrays: List[np.ndarray]) -> bytes:
+    """``header`` followed by each array's ``encode_ints`` payload."""
+    return header + b"".join(encode_ints(a) for a in arrays)
+
+
+def _size_bound(header: bytes, arrays: List[np.ndarray]) -> int:
+    """A lower bound on ``len(_pack(header, arrays))``, found without
+    entropy-coding anything."""
+    return len(header) + sum(encoded_size_bound(a) for a in arrays)
+
+
 class WaveletCoder:
     """Multi-level reversible 5/3 coder with a pointwise bound."""
 
@@ -124,6 +137,17 @@ class WaveletCoder:
         The 5/3 lifting is integer-reversible, so :meth:`decompress`
         recovers ``q`` exactly and returns ``q * 2eb``; the encoder
         needs no inverse transform to know that.
+        """
+        header, bands, recon = self.quantize(frames, error_bound)
+        return _pack(header, bands), recon
+
+    def quantize(self, frames: np.ndarray, error_bound: float
+                 ) -> Tuple[bytes, List[np.ndarray], np.ndarray]:
+        """Everything :meth:`encode` does before entropy coding.
+
+        Returns ``(header, bands, recon)``: the payload is ``header``
+        followed by :func:`~repro.postprocess.coding.encode_ints` of
+        each band (coarse, then the details level by level).
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
@@ -150,10 +174,9 @@ class WaveletCoder:
 
         header = _WAVELET_MAGIC + struct.pack(
             _WHDR, *frames.shape, self.levels, eb)
-        parts = [header, encode_ints(coarse.ravel())]
         # fine-to-coarse order is irrelevant; keep level order stable
-        parts.extend(encode_ints(dv) for dv in details)
-        return b"".join(parts), q.astype(np.float64) * (2 * eb)
+        return (header, [coarse.ravel(), *details],
+                q.astype(np.float64) * (2 * eb))
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _WAVELET_MAGIC:
@@ -206,12 +229,31 @@ class FAZLikeCompressor:
     def encode(self, frames: np.ndarray, error_bound: float
                ) -> Tuple[bytes, np.ndarray]:
         """:meth:`compress`, plus the kept candidate's exact
-        reconstruction."""
-        wav, wav_recon = self.wavelet.encode(frames, error_bound)
-        prd, prd_recon = self.predictor.encode(frames, error_bound)
-        if len(wav) <= len(prd):
-            return _MAGIC + bytes([_TAG_WAVELET]) + wav, wav_recon
-        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd, prd_recon
+        reconstruction.
+
+        Both candidates are quantized, then sized with
+        :func:`~repro.postprocess.coding.encoded_size_bound` before
+        either is entropy-coded.  The one with the smaller bound is
+        coded; the other is coded only if its bound says it could
+        still win.  The bytes are those of coding both and keeping the
+        smaller, ties going to the wavelet.
+        """
+        wav = self.wavelet.quantize(frames, error_bound)
+        prd = self.predictor.quantize(frames, error_bound)
+        wav_bound, prd_bound = _size_bound(*wav[:2]), _size_bound(*prd[:2])
+        if wav_bound <= prd_bound:
+            wav_bytes = _pack(*wav[:2])
+            # the predictor must be strictly smaller to win
+            prd_bytes = (_pack(*prd[:2]) if prd_bound < len(wav_bytes)
+                         else None)
+        else:
+            prd_bytes = _pack(*prd[:2])
+            wav_bytes = (_pack(*wav[:2]) if wav_bound <= len(prd_bytes)
+                         else None)
+        if wav_bytes is not None and (prd_bytes is None
+                                      or len(wav_bytes) <= len(prd_bytes)):
+            return _MAGIC + bytes([_TAG_WAVELET]) + wav_bytes, wav[2]
+        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd_bytes, prd[2]
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:

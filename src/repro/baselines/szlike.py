@@ -80,6 +80,17 @@ class SZLikeCompressor:
         ``recon`` it builds is bitwise what :meth:`decompress` returns
         for the payload.
         """
+        header, chunks, recon = self.quantize(frames, error_bound)
+        return header + b"".join(encode_ints(c) for c in chunks), recon
+
+    def quantize(self, frames: np.ndarray, error_bound: float
+                 ) -> Tuple[bytes, List[np.ndarray], np.ndarray]:
+        """Everything :meth:`encode` does before entropy coding.
+
+        Returns ``(header, chunks, recon)``: the payload is ``header``
+        followed by :func:`~repro.postprocess.coding.encode_ints` of
+        each chunk, in order.
+        """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -103,8 +114,7 @@ class SZLikeCompressor:
             chunks.append(q.ravel())
 
         header = _MAGIC + struct.pack("<IIId", *frames.shape, eb)
-        body = b"".join(encode_ints(c) for c in chunks)
-        return header + body, recon
+        return header, chunks, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

@@ -33,13 +33,14 @@ per-symbol methods delegate to them.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import List, Sequence
 
 import numpy as np
 
 __all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "EntropyDecodeError",
-           "MAX_TOTAL", "PRECISION"]
+           "MAX_TOTAL", "PRECISION", "body_size_bound"]
 
 PRECISION = 32
 _FULL = (1 << PRECISION) - 1
@@ -52,6 +53,10 @@ _FLUSH_BITS = 64
 
 #: Largest permissible cumulative-frequency total.
 MAX_TOTAL = 1 << 16
+
+#: Bits :func:`body_size_bound` gives away to float64 rounding; the
+#: rounding error of its sums is many orders of magnitude smaller.
+_BOUND_MARGIN_BITS = 10
 
 
 class EntropyDecodeError(ValueError):
@@ -258,3 +263,37 @@ class ArithmeticDecoder:
         self._low, self._high, self._value = low, high, value
         self._pos, self._buf, self._nbuf = pos, buf, nbuf
         return out
+
+
+def body_size_bound(freq, total, count=1) -> int:
+    """A proven lower bound on ``len(ArithmeticEncoder.finish())``.
+
+    The stream codes each symbol of frequency ``freq[i]`` out of
+    ``total[i]`` exactly ``count[i]`` times (the arrays broadcast), in
+    any order.  Callers size a payload with this before paying for the
+    coding loop, and skip the loop when even the bound loses.
+
+    Proof.  Write ``span = high - low + 1``; it starts at ``2^32``.
+
+    * After renormalization ``low < HALF <= high`` (the shared prefix is
+      gone) and not ``QUARTER <= low, high < THREE_QUARTER`` (the E3
+      loop ended), so ``span > 2^30``.
+    * Coding ``[a, b)`` of ``t`` sets ``span' = floor(span*b/t) -
+      floor(span*a/t) < span*f/t + 1 <= span * (f/t + 2^-30)``.
+    * Every prefix shift and every E3 step doubles ``span``, and each
+      is one bit of the stream; call their number ``S``.  :meth:`finish`
+      writes ``2`` more bits, so the body holds exactly ``S + 2`` bits
+      before padding to whole bytes.
+
+    Taking logs, ``log2 span_end < 32 - Σ log2(1 / (f/t + 2^-30)) + S``,
+    and ``span_end > 2^30`` after the last renormalization, so
+    ``8 * len(body) >= S + 2 > Σ -log2(f/t + 2^-30) = I - E`` with
+    ``I = Σ log2(t/f)`` the information content and ``E`` the coder's
+    finite-precision excess.  The sum is taken in float64 less
+    :data:`_BOUND_MARGIN_BITS` bits, which covers its rounding many
+    times over; every body also holds at least one byte.
+    """
+    freq = np.asarray(freq, dtype=np.float64)
+    bits = float(np.sum(np.asarray(count, dtype=np.float64)
+                        * -np.log2(freq / total + 2.0 ** -30)))
+    return max(1, math.floor((bits - _BOUND_MARGIN_BITS) / 8) + 1)

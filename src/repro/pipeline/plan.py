@@ -31,7 +31,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from ..data.base import SpatiotemporalDataset
 from ..data.registry import (DatasetSpec, dataset_from_spec,
                              get_dataset_spec, spec_of)
+from ..util.lru import LRUCache
 from .container import (MEMBER_BLOB, MEMBER_ENVELOPE, ArchiveIndexError,
                         MemberIndex, as_source, index_blob, read_index)
 
@@ -89,16 +89,32 @@ class ShardTask:
         Generation is memoized per ``(spec, variable)`` so the shards
         of one variable share a single generation pass — without the
         cache an N-shard plan would regenerate the full variable N
-        times (once per task, in whichever process runs it).
+        times (once per task, in whichever process runs it).  The
+        shard is a copy, so callers may write to it.
         """
         return _variable_frames(self.dataset,
                                 self.variable)[self.t0:self.t1].copy()
 
 
-@lru_cache(maxsize=8)
+#: Bytes of generated variables the planner keeps.  A variable larger
+#: than this is still kept, alone, while it is the newest one.
+VARIABLE_CACHE_BYTES = 64 << 20
+
+#: ``(spec, variable) -> frames``, least recently used evicted first
+_VARIABLE_CACHE = LRUCache(max_bytes=VARIABLE_CACHE_BYTES)
+
+
+def _generate(spec: DatasetSpec, variable: int) -> np.ndarray:
+    frames = dataset_from_spec(spec).frames(variable)
+    frames.setflags(write=False)  # shared by every shard of the variable
+    return frames
+
+
 def _variable_frames(spec: DatasetSpec, variable: int) -> np.ndarray:
-    """One variable's full frame stack (deterministic, cache-safe)."""
-    return dataset_from_spec(spec).frames(variable)
+    """One variable's full frame stack (deterministic, read-only)."""
+    return _VARIABLE_CACHE.get_or_build(
+        (spec, variable), lambda: _generate(spec, variable),
+        nbytes=lambda frames: frames.nbytes)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,14 @@ the bound holds unconditionally.
 """
 
 from .bound import BoundResult, ErrorBoundCorrector
-from .coding import decode_ints, encode_ints
+from .coding import decode_ints, encode_ints, encoded_size_bound
 from .pca import ResidualPCA, blockify, unblockify
 from .qoi import (DerivativeQoI, LinearQoI, QoIRecord, QuadraticQoI,
                   evaluate_qois, mean_qoi, region_average_qoi,
                   temporal_mean_qoi)
 
 __all__ = ["ResidualPCA", "blockify", "unblockify", "ErrorBoundCorrector",
-           "BoundResult", "encode_ints", "decode_ints",
+           "BoundResult", "encode_ints", "decode_ints", "encoded_size_bound",
            "LinearQoI", "QuadraticQoI", "DerivativeQoI", "QoIRecord",
            "evaluate_qois", "mean_qoi", "region_average_qoi",
            "temporal_mean_qoi"]

@@ -17,15 +17,16 @@ the repo gains backend choice without touching its own format.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..entropy.backend import (DEFAULT_BACKEND, backend_from_tag,
                                get_backend)
 from ..entropy.coder import EntropyDecodeError, pmf_to_cumulative
+from ..entropy.rangecoder import body_size_bound
 
-__all__ = ["encode_ints", "decode_ints"]
+__all__ = ["encode_ints", "decode_ints", "encoded_size_bound"]
 
 _MAGIC = b"RI"
 _VARINT_MAGIC = b"RV"
@@ -129,6 +130,67 @@ def _decode_varints(data: bytes, offset: int) -> Tuple[np.ndarray, int]:
     return _unzigzag(vals), pos + int(body.size)
 
 
+class _Histogram(NamedTuple):
+    """A histogram payload, sized but not yet entropy-coded."""
+
+    magic: bytes
+    vmin: int
+    symbols: np.ndarray
+    hist: np.ndarray
+    tables: Optional[np.ndarray]  # ``None`` for a one-symbol alphabet
+    size_bound: int  # never above the payload's length once coded
+
+
+def _layout(values: np.ndarray, coder) -> Tuple[np.ndarray, np.ndarray,
+                                                 int, Optional[_Histogram]]:
+    """Size both forms of a non-empty ``values`` without coding a body.
+
+    Returns ``(zigzag, lens, varint_size, histogram)``; ``histogram``
+    is ``None`` when the header alone already loses to the varints.
+    """
+    vmin = int(values.min())
+    alphabet = int(values.max()) - vmin + 1
+    if coder.name == DEFAULT_BACKEND:
+        magic = _MAGIC
+    else:
+        magic = _TAGGED_MAGIC + struct.pack("<B", coder.tag)
+    zigzag = _zigzag(values)
+    lens = _varint_lengths(zigzag)
+    varint_size = _VARINT_HEADER + int(lens.sum())
+    header_size = len(magic) + struct.calcsize(_HEADER) + 4 * alphabet
+    if alphabet > _MAX_HISTOGRAM_ALPHABET or varint_size < header_size:
+        return zigzag, lens, varint_size, None
+    symbols = values - vmin
+    hist = np.bincount(symbols, minlength=alphabet)
+    tables, body_bound = None, 0
+    if alphabet > 1:
+        tables = pmf_to_cumulative(hist[None, :].astype(np.float64))
+        if coder.name == DEFAULT_BACKEND:
+            body_bound = body_size_bound(np.diff(tables[0]),
+                                         tables[0, -1], hist)
+    return zigzag, lens, varint_size, _Histogram(
+        magic, vmin, symbols, hist, tables, header_size + body_bound)
+
+
+def encoded_size_bound(values: np.ndarray, backend=None) -> int:
+    """A lower bound on ``len(encode_ints(values, backend))``, found
+    without entropy-coding anything.
+
+    Exact whenever the header alone decides the form (empty input, a
+    one-symbol or oversized alphabet, varints smaller than the
+    histogram header).  Otherwise the body counts as
+    :func:`repro.entropy.rangecoder.body_size_bound`'s proven minimum
+    for the arithmetic backend and as zero bytes for any other.
+    """
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if not values.size:
+        return len(_MAGIC) + struct.calcsize(_HEADER)
+    _, _, varint_size, histogram = _layout(values, get_backend(backend))
+    if histogram is None:
+        return varint_size
+    return min(varint_size, histogram.size_bound)
+
+
 def encode_ints(values: np.ndarray, backend=None) -> bytes:
     """Encode an integer array into a self-delimiting byte payload.
 
@@ -138,37 +200,29 @@ def encode_ints(values: np.ndarray, backend=None) -> bytes:
     coefficients it is a few dozen bytes.  ``backend`` selects the
     body coder (``None`` uses the process default); the arithmetic
     default keeps the legacy wire format byte-for-byte.
+
+    Whichever of that payload and the ``RV`` zigzag varints is smaller
+    is kept (ties keep the histogram; the magic bytes disambiguate).
+    The varints are sized without being built, and the body is never
+    entropy-coded when :func:`encoded_size_bound`'s proven minimum for
+    the histogram payload already exceeds them, so a payload the
+    varints would replace costs no coding loop.
     """
     values = np.asarray(values, dtype=np.int64).ravel()
     n = values.size
     if n == 0:
         return _MAGIC + struct.pack(_HEADER, 0, 0, 0, 0)
     coder = get_backend(backend)
-    vmin = int(values.min())
-    vmax = int(values.max())
-    alphabet = vmax - vmin + 1
-    if coder.name == DEFAULT_BACKEND:
-        magic = _MAGIC
-    else:
-        magic = _TAGGED_MAGIC + struct.pack("<B", coder.tag)
-    # The histogram header can dominate small payloads; keep whichever
-    # representation is actually smaller (magic bytes disambiguate).
-    # The varints are sized without being built, and when they beat
-    # the histogram header alone the body is never entropy-coded.
-    zigzag = _zigzag(values)
-    lens = _varint_lengths(zigzag)
-    varint_size = _VARINT_HEADER + int(lens.sum())
-    header_size = len(magic) + struct.calcsize(_HEADER) + 4 * alphabet
-    if alphabet > _MAX_HISTOGRAM_ALPHABET or varint_size < header_size:
+    zigzag, lens, varint_size, histogram = _layout(values, coder)
+    if histogram is None or histogram.size_bound > varint_size:
         return _encode_varints(zigzag, lens)
-    symbols = values - vmin
-    hist = np.bincount(symbols, minlength=alphabet).astype(np.int64)
-    if alphabet == 1:
-        body = b""
-    else:
-        tables = pmf_to_cumulative(hist[None, :].astype(np.float64))
-        body = coder.encode(symbols, tables, np.zeros(n, dtype=np.int64))
-    coded = (magic + struct.pack(_HEADER, n, vmin, alphabet, len(body))
+    body = b""
+    if histogram.tables is not None:
+        body = coder.encode(histogram.symbols, histogram.tables,
+                            np.zeros(n, dtype=np.int64))
+    hist = histogram.hist
+    coded = (histogram.magic
+             + struct.pack(_HEADER, n, histogram.vmin, hist.size, len(body))
              + hist.astype("<u4").tobytes() + body)
     if len(coded) <= varint_size:
         return coded
@@ -181,28 +235,49 @@ def decode_ints(data: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     Returns ``(values, next_offset)`` so multiple payloads can be
     concatenated back to back.  The body decoder is chosen by the
     payload itself: legacy ``RI`` payloads are arithmetic, ``RT``
-    payloads carry a one-byte backend tag.
+    payloads carry a one-byte backend tag.  Bad magic, an unknown tag,
+    and a header, histogram or body cut short raise
+    :class:`EntropyDecodeError`; sizes are checked against the bytes
+    that remain before anything is allocated or sliced.
     """
     magic = data[offset:offset + 2]
     if magic == _VARINT_MAGIC:
         return _decode_varints(data, offset)
     if magic == _TAGGED_MAGIC:
-        coder = backend_from_tag(data[offset + 2])
+        if len(data) < offset + 3:
+            raise EntropyDecodeError("corrupted payload: truncated header")
+        try:
+            coder = backend_from_tag(data[offset + 2])
+        except ValueError as exc:
+            raise EntropyDecodeError(f"corrupted payload: {exc}") from exc
         pos = offset + 3
     elif magic == _MAGIC:
         coder = get_backend(DEFAULT_BACKEND)
         pos = offset + 2
     else:
-        raise ValueError("corrupted payload: bad magic")
+        raise EntropyDecodeError("corrupted payload: bad magic")
+    if len(data) < pos + struct.calcsize(_HEADER):
+        raise EntropyDecodeError("corrupted payload: truncated header")
     n, vmin, alphabet, body_len = struct.unpack_from(_HEADER, data, pos)
     pos += struct.calcsize(_HEADER)
     if n == 0:
         return np.zeros(0, dtype=np.int64), pos
+    if not 1 <= alphabet <= _MAX_HISTOGRAM_ALPHABET:
+        raise EntropyDecodeError(
+            f"corrupted payload: alphabet of {alphabet} symbols")
+    if 4 * alphabet > len(data) - pos:
+        raise EntropyDecodeError("corrupted payload: truncated histogram")
     hist = np.frombuffer(data, dtype="<u4", count=alphabet,
                          offset=pos).astype(np.int64)
     pos += 4 * alphabet
+    if int(hist.sum()) != n:
+        raise EntropyDecodeError(
+            f"corrupted payload: histogram counts {int(hist.sum())} "
+            f"values, header {n}")
+    if body_len > len(data) - pos:
+        raise EntropyDecodeError("corrupted payload: truncated body")
     if alphabet == 1:
-        return np.full(n, vmin, dtype=np.int64), pos
+        return np.full(n, vmin, dtype=np.int64), pos + body_len
     tables = pmf_to_cumulative(hist[None, :].astype(np.float64))
     symbols = coder.decode(data[pos:pos + body_len], tables,
                            np.zeros(n, dtype=np.int64))

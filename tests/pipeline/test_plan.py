@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.data import get_dataset, get_dataset_spec
-from repro.pipeline.plan import (SEED_STRIDE, ShardEntry, assemble_shards,
-                                 is_shard_archive, pack_shard_archive,
-                                 plan_shards, time_slices,
-                                 unpack_shard_archive)
+from repro.pipeline import plan as plan_module
+from repro.pipeline.plan import (SEED_STRIDE, ShardEntry, _variable_frames,
+                                 assemble_shards, is_shard_archive,
+                                 pack_shard_archive, plan_shards,
+                                 time_slices, unpack_shard_archive)
+from repro.util.lru import LRUCache
 
 
 def test_seed_stride_matches_engine():
@@ -17,6 +19,51 @@ def test_seed_stride_matches_engine():
     never drift from the engine's historical stride."""
     from repro.pipeline.engine import SEED_STRIDE as ENGINE_STRIDE
     assert SEED_STRIDE == ENGINE_STRIDE == 7919
+
+
+class TestVariableCache:
+    """The planner's memo of generated variables is bounded by bytes,
+    not by a count of variables."""
+
+    @staticmethod
+    def one_shard(seed, t=8):
+        return plan_shards("e3sm", variables=[0], t=t, h=12, w=12,
+                           seed=seed)[0]
+
+    def test_default_bound_is_bytes(self):
+        cache = plan_module._VARIABLE_CACHE
+        assert cache.max_entries is None
+        assert cache.max_bytes == plan_module.VARIABLE_CACHE_BYTES
+
+    def test_evicts_least_recent_past_the_byte_bound(self, monkeypatch):
+        per_variable = 8 * 12 * 12 * 8  # t*h*w float64
+        cache = LRUCache(max_bytes=2 * per_variable)
+        monkeypatch.setattr(plan_module, "_VARIABLE_CACHE", cache)
+        tasks = [self.one_shard(seed) for seed in range(3)]
+        for task in tasks:
+            task.materialize()
+        assert cache.bytes == 2 * per_variable
+        assert (tasks[0].dataset, 0) not in cache
+        assert (tasks[1].dataset, 0) in cache
+        assert (tasks[2].dataset, 0) in cache
+
+    def test_oversized_variable_is_kept_alone(self, monkeypatch):
+        cache = LRUCache(max_bytes=8 * 12 * 12 * 8)
+        monkeypatch.setattr(plan_module, "_VARIABLE_CACHE", cache)
+        self.one_shard(0).materialize()
+        big = self.one_shard(1, t=16)
+        big.materialize()
+        assert list(cache.keys()) == [(big.dataset, 0)]
+
+    def test_more_than_eight_variables_stay_cached(self, monkeypatch):
+        cache = LRUCache(max_bytes=plan_module.VARIABLE_CACHE_BYTES)
+        monkeypatch.setattr(plan_module, "_VARIABLE_CACHE", cache)
+        tasks = [self.one_shard(seed) for seed in range(12)]
+        for _ in range(2):
+            for task in tasks:
+                task.materialize()
+        assert cache.stats()["misses"] == 12
+        assert cache.stats()["hits"] == 12
 
 
 class TestTimeSlices:
@@ -94,6 +141,17 @@ class TestPlanShards:
         for task in plan:
             np.testing.assert_array_equal(task.materialize(),
                                           frames[task.t0:task.t1])
+
+    def test_shards_are_writable_copies(self):
+        plan = plan_shards("e3sm", variables=[0], shards=2, t=8,
+                           h=12, w=12, seed=3)
+        first = plan[0].materialize()
+        expected = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(plan[0].materialize(), expected)
+        cached = _variable_frames(plan.dataset, 0)
+        assert not cached.flags.writeable
+        assert not np.shares_memory(plan[1].materialize(), cached)
 
     def test_tasks_are_picklable_and_small(self):
         plan = plan_shards("e3sm", shards=4, t=8, h=12, w=12)
